@@ -4,11 +4,14 @@
 // stride across the vector).
 #include <benchmark/benchmark.h>
 
+#include "bench_circuits/grover.hpp"
 #include "circuit/fusion.hpp"
 #include "common/rng.hpp"
 #include "sim/kernel_engine.hpp"
 #include "sim/kernels.hpp"
 #include "sim/statevector.hpp"
+#include "telemetry/clock.hpp"
+#include "transpile/decompose.hpp"
 
 namespace {
 
@@ -139,6 +142,62 @@ void BM_ApplyMat2Threaded(benchmark::State& state) {
                           static_cast<std::int64_t>(s.dim()));
 }
 
+// Cache blocking over a real gate list: the 20-qubit Grover benchmark in
+// the CX basis, applied gate by gate and through apply_gates (blocked
+// runs), on a 20-qubit state and on a 24-qubit one whose top four qubits
+// stay idle. ns_per_amp is time per gate per amplitude; passes counts the
+// full-state sweeps one application of the list makes.
+const std::vector<Gate>& grover20_gates() {
+  static const std::vector<Gate> gates =
+      decompose_to_cx_basis(make_grover(20, 1234)).gates();
+  return gates;
+}
+
+void report_gate_list(benchmark::State& state, const StateVector& s, double elapsed_ms,
+                      std::size_t num_gates, std::uint64_t passes) {
+  state.counters["ns_per_amp"] =
+      elapsed_ms * 1e6 /
+      (static_cast<double>(state.iterations()) * static_cast<double>(num_gates) *
+       static_cast<double>(s.dim()));
+  state.counters["gates"] = static_cast<double>(num_gates);
+  state.counters["passes"] = static_cast<double>(passes);
+}
+
+void BM_Grover20GateByGate(benchmark::State& state) {
+  const auto n = static_cast<unsigned>(state.range(0));
+  const std::vector<Gate>& gates = grover20_gates();
+  StateVector s = random_state(n, 9);
+  double elapsed_ms = 0;
+  for (auto _ : state) {
+    const telemetry::Stopwatch watch;
+    for (const Gate& g : gates) {
+      apply_gate(s, g);
+    }
+    elapsed_ms += watch.elapsed_ms();
+    benchmark::DoNotOptimize(s.amplitudes().data());
+  }
+  report_gate_list(state, s, elapsed_ms, gates.size(), gates.size());
+}
+
+void BM_Grover20Blocked(benchmark::State& state) {
+  const auto n = static_cast<unsigned>(state.range(0));
+  const std::vector<Gate>& gates = grover20_gates();
+  std::vector<const Gate*> ptrs;
+  for (const Gate& g : gates) {
+    ptrs.push_back(&g);
+  }
+  StateVector s = random_state(n, 9);
+  std::uint64_t passes = 0;
+  double elapsed_ms = 0;
+  for (auto _ : state) {
+    const telemetry::Stopwatch watch;
+    passes = apply_gates(s, ptrs);
+    elapsed_ms += watch.elapsed_ms();
+    benchmark::DoNotOptimize(s.amplitudes().data());
+  }
+  report_gate_list(state, s, elapsed_ms, gates.size(), passes);
+}
+
 BENCHMARK(BM_ApplyH)
     ->Args({16, 0})->Args({16, 15})
     ->Args({20, 0})->Args({20, 19})
@@ -152,5 +211,7 @@ BENCHMARK(BM_ApplyMat4)->Arg(16)->Arg(20)->Arg(22);
 BENCHMARK(BM_ApplyGateSequence)->Arg(16)->Arg(20);
 BENCHMARK(BM_ApplyFusedSequence)->Arg(16)->Arg(20);
 BENCHMARK(BM_ApplyMat2Threaded)->Args({20, 1})->Args({20, 2})->Args({22, 2});
+BENCHMARK(BM_Grover20GateByGate)->Arg(20)->Arg(24)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Grover20Blocked)->Arg(20)->Arg(24)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -319,6 +319,7 @@ void print_result(const NoisyRunResult& result, std::size_t num_measured,
     const TelemetrySummary& telem = result.telemetry;
     out << "telemetry:\n";
     out << "  measured ops      : " << telem.measured_ops << "\n";
+    out << "  memory passes     : " << telem.memory_passes << "\n";
     out << "  cache hit ratio   : " << format_double(telem.prefix_cache_hit_ratio, 4)
         << "  (" << telem.ops_saved_vs_baseline << " ops saved vs baseline)\n";
     out << "  wall time         : " << format_double(telem.wall_ms, 1) << " ms\n";

@@ -1,6 +1,7 @@
 #include "sched/backend.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "common/error.hpp"
 #include "linalg/pauli.hpp"
@@ -15,6 +16,9 @@ namespace {
 // and tree executors by name) reconciles bitwise with the PlanVerifier
 // proof and the reported op counts.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
+// Full sweeps of a state actually made for those ops: a cache-blocked run
+// of gates is one pass, every other gate or error is one pass each.
+telemetry::Counter g_memory_passes("sim.memory_passes");
 }  // namespace
 
 // --------------------------------------------------------------------------
@@ -56,13 +60,18 @@ void CountBackend::on_drop(std::size_t depth) {
 // --------------------------------------------------------------------------
 // SvBackend
 
-void apply_layers(const CircuitContext& ctx, StateVector& state, layer_index_t from,
-                  layer_index_t to) {
+std::uint64_t apply_layers(const CircuitContext& ctx, StateVector& state,
+                           layer_index_t from, layer_index_t to) {
+  // Reused per thread, so an advance over a few gates of a small state
+  // does not pay an allocation for its gate list.
+  thread_local std::vector<const Gate*> gates;
+  gates.clear();
   for (layer_index_t l = from; l < to; ++l) {
     for (gate_index_t g : ctx.layering.layers[l]) {
-      apply_gate(state, ctx.circuit.gates()[g]);
+      gates.push_back(&ctx.circuit.gates()[g]);
     }
   }
+  return apply_gates(state, gates);
 }
 
 void apply_error_event(const CircuitContext& ctx, StateVector& state,
@@ -119,9 +128,11 @@ void SvBackend::on_advance(std::size_t depth, layer_index_t from_layer,
                            layer_index_t to_layer) {
   RQSIM_CHECK(depth == stack_.size() - 1, "SvBackend: advance must target the top");
   if (fusion_ != nullptr) {
-    apply_fused(stack_[depth], fusion_->segment(from_layer, to_layer));
+    const FusedProgram& program = fusion_->segment(from_layer, to_layer);
+    apply_fused(stack_[depth], program);
+    g_memory_passes.add(program.ops.size());
   } else {
-    apply_layers(ctx_, stack_[depth], from_layer, to_layer);
+    g_memory_passes.add(apply_layers(ctx_, stack_[depth], from_layer, to_layer));
   }
   const opcount_t advanced = ctx_.ops_in_layers(from_layer, to_layer);
   result_.ops += advanced;
@@ -144,6 +155,7 @@ void SvBackend::on_error(std::size_t depth, const ErrorEvent& event) {
   apply_error_event(ctx_, stack_[depth], event);
   result_.ops += 1;
   g_matvec_ops.increment();
+  g_memory_passes.increment();
   cached_probs_.reset();
   cached_expectations_.reset();
 }

@@ -28,9 +28,11 @@ namespace rqsim {
 // ---------------------------------------------------------------------------
 
 /// Apply the gates of layers [from, to) to a state (shared by every
-/// statevector-interpreting visitor).
-void apply_layers(const CircuitContext& ctx, StateVector& state, layer_index_t from,
-                  layer_index_t to);
+/// statevector-interpreting visitor), cache-blocked through apply_gates.
+/// Returns the memory passes made ("sim.memory_passes"); the ops stay one
+/// per gate.
+std::uint64_t apply_layers(const CircuitContext& ctx, StateVector& state,
+                           layer_index_t from, layer_index_t to);
 
 /// Apply one error event (gate-attached Pauli / Pauli pair, or idle Pauli).
 void apply_error_event(const CircuitContext& ctx, StateVector& state,

@@ -1,7 +1,6 @@
 #include "sched/baseline.hpp"
 
 #include "common/error.hpp"
-#include "linalg/pauli.hpp"
 #include "sim/kernels.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -9,47 +8,43 @@ namespace rqsim {
 
 namespace {
 
-// Same logical metric as the cached/tree executors (interned by name), so
-// baseline runs contribute to the one runtime op total.
+// Same logical metrics as the cached/tree executors (interned by name), so
+// baseline runs contribute to the one runtime op and pass totals.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
+telemetry::Counter g_memory_passes("sim.memory_passes");
 
-void apply_one_event(const CircuitContext& ctx, StateVector& state,
-                     const ErrorEvent& event) {
-  if (is_idle_position(ctx.circuit.num_gates(), event.position)) {
-    apply_pauli(state, static_cast<Pauli>(event.op),
-                idle_qubit(ctx.circuit.num_gates(), event.position));
-    return;
-  }
-  const Gate& gate = ctx.circuit.gates()[event.position];
-  if (gate.arity() == 1) {
-    apply_pauli(state, static_cast<Pauli>(event.op), gate.qubits[0]);
-  } else {
-    RQSIM_CHECK(gate.arity() == 2, "simulate_trial: unsupported gate arity");
-    apply_pauli_pair(state, pauli_pair_from_index(event.op), gate.qubits[0],
-                     gate.qubits[1]);
-  }
-}
-
-// Fused variant: advance through the error-free layer segments between
-// consecutive error positions with fused programs.
-StateVector simulate_trial_fused(const CircuitContext& ctx, const Trial& trial,
-                                 FusionCache& fusion) {
+// Advance through the error-free layer segments between consecutive error
+// layers (fused programs with `fusion`, cache-blocked gate runs without),
+// applying each layer's error events after it. Adds the memory passes
+// made to `passes`.
+StateVector run_trial(const CircuitContext& ctx, const Trial& trial, FusionCache* fusion,
+                      std::uint64_t& passes) {
   StateVector state(ctx.circuit.num_qubits());
-  const layer_index_t num_layers = static_cast<layer_index_t>(ctx.num_layers());
+  const auto num_layers = static_cast<layer_index_t>(ctx.num_layers());
+  const auto advance = [&](layer_index_t from, layer_index_t to) {
+    if (fusion != nullptr) {
+      const FusedProgram& program = fusion->segment(from, to);
+      apply_fused(state, program);
+      passes += program.ops.size();
+    } else {
+      passes += apply_layers(ctx, state, from, to);
+    }
+  };
   layer_index_t from = 0;
   std::size_t next_event = 0;
   while (next_event < trial.events.size()) {
     const layer_index_t l = trial.events[next_event].layer;
     RQSIM_CHECK(l < num_layers, "simulate_trial: event beyond the last layer");
-    apply_fused(state, fusion.segment(from, l + 1));
+    advance(from, l + 1);
     from = l + 1;
     while (next_event < trial.events.size() && trial.events[next_event].layer == l) {
-      apply_one_event(ctx, state, trial.events[next_event]);
+      apply_error_event(ctx, state, trial.events[next_event]);
+      ++passes;
       ++next_event;
     }
   }
   if (from < num_layers) {
-    apply_fused(state, fusion.segment(from, num_layers));
+    advance(from, num_layers);
   }
   return state;
 }
@@ -58,23 +53,8 @@ StateVector simulate_trial_fused(const CircuitContext& ctx, const Trial& trial,
 
 StateVector simulate_trial(const CircuitContext& ctx, const Trial& trial,
                            FusionCache* fusion) {
-  if (fusion != nullptr) {
-    return simulate_trial_fused(ctx, trial, *fusion);
-  }
-  StateVector state(ctx.circuit.num_qubits());
-  std::size_t next_event = 0;
-  for (layer_index_t l = 0; l < ctx.num_layers(); ++l) {
-    for (gate_index_t g : ctx.layering.layers[l]) {
-      apply_gate(state, ctx.circuit.gates()[g]);
-    }
-    while (next_event < trial.events.size() && trial.events[next_event].layer == l) {
-      apply_one_event(ctx, state, trial.events[next_event]);
-      ++next_event;
-    }
-  }
-  RQSIM_CHECK(next_event == trial.events.size(),
-              "simulate_trial: event beyond the last layer");
-  return state;
+  std::uint64_t passes = 0;
+  return run_trial(ctx, trial, fusion, passes);
 }
 
 SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial>& trials,
@@ -92,11 +72,13 @@ SvRunResult baseline_simulate(const CircuitContext& ctx, const std::vector<Trial
   FusionCache fusion(ctx.circuit, ctx.layering);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     const Trial& trial = trials[i];
-    StateVector state = simulate_trial(ctx, trial, fuse_gates ? &fusion : nullptr);
+    std::uint64_t passes = 0;
+    StateVector state = run_trial(ctx, trial, fuse_gates ? &fusion : nullptr, passes);
     const opcount_t trial_ops =
         ctx.total_gate_ops() + static_cast<opcount_t>(trial.num_errors());
     result.ops += trial_ops;
     g_matvec_ops.add(trial_ops);
+    g_memory_passes.add(passes);
     if (!ctx.circuit.measured_qubits().empty()) {
       const auto probs = measurement_probabilities(state, ctx.circuit.measured_qubits());
       std::uint64_t outcome;

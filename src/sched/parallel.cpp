@@ -20,9 +20,11 @@ namespace rqsim {
 
 namespace {
 
-// Read handle for the run_noisy_parallel measured-ops delta (same logical
-// metric the execution paths write; see sched/backend.cpp).
+// Read handles for the run_noisy_parallel measured-ops and memory-pass
+// deltas (same logical metrics the execution paths write; see
+// sched/backend.cpp).
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
+telemetry::Counter g_memory_passes("sim.memory_passes");
 
 /// Legacy strategy: contiguous chunks of the reordered list, one
 /// independent sequential scheduler per chunk. Fills ops / fork_copies /
@@ -145,6 +147,7 @@ NoisyRunResult run_noisy_parallel(const Circuit& circuit, const NoiseModel& nois
   const telemetry::MeasuredRunScope run_scope;
   const bool measured = telemetry::compiled() && telemetry::enabled();
   const std::uint64_t ops_before = measured ? g_matvec_ops.value() : 0;
+  const std::uint64_t passes_before = measured ? g_memory_passes.value() : 0;
   circuit.validate();
   RQSIM_CHECK(noise.num_qubits() >= circuit.num_qubits(),
               "run_noisy_parallel: noise model covers fewer qubits than the circuit");
@@ -207,6 +210,7 @@ NoisyRunResult run_noisy_parallel(const Circuit& circuit, const NoiseModel& nois
   result.telemetry.measured = measured && run_scope.exclusive();
   if (result.telemetry.measured) {
     result.telemetry.measured_ops = g_matvec_ops.value() - ops_before;
+    result.telemetry.memory_passes = g_memory_passes.value() - passes_before;
   }
   result.telemetry.ops_saved_vs_baseline =
       result.baseline_ops > result.ops ? result.baseline_ops - result.ops : 0;

@@ -30,10 +30,12 @@ void validate_run_limits(const NoisyRunConfig& config, const char* context) {
 
 namespace {
 
-// Read handle for the process-wide matvec-op total (written by the
-// baseline/cached/tree execution paths); run_noisy snapshots it around the
-// run so TelemetrySummary::measured_ops is this run's delta.
+// Read handles for the process-wide matvec-op and memory-pass totals
+// (written by the baseline/cached/tree execution paths); run_noisy
+// snapshots them around the run so TelemetrySummary::measured_ops and
+// memory_passes are this run's deltas.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
+telemetry::Counter g_memory_passes("sim.memory_passes");
 
 std::vector<Trial> make_trials(const Circuit& circuit, const CircuitContext& ctx,
                                const NoiseModel& noise, const NoisyRunConfig& config,
@@ -71,6 +73,7 @@ NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
   const telemetry::MeasuredRunScope run_scope;
   const bool measured = telemetry::compiled() && telemetry::enabled();
   const std::uint64_t ops_before = measured ? g_matvec_ops.value() : 0;
+  const std::uint64_t passes_before = measured ? g_memory_passes.value() : 0;
   circuit.validate();
   CircuitContext ctx(circuit);
   Rng rng(config.seed);
@@ -131,6 +134,7 @@ NoisyRunResult run_noisy(const Circuit& circuit, const NoiseModel& noise,
   result.telemetry.measured = measured && run_scope.exclusive();
   if (result.telemetry.measured) {
     result.telemetry.measured_ops = g_matvec_ops.value() - ops_before;
+    result.telemetry.memory_passes = g_memory_passes.value() - passes_before;
   }
   result.telemetry.peak_live_states = result.max_live_states;
   result.telemetry.wall_ms = stopwatch.elapsed_ms();

@@ -125,6 +125,12 @@ struct TelemetrySummary {
   /// measured=false rather than a delta polluted by the other run's ops.
   opcount_t measured_ops = 0;
 
+  /// Delta of the "sim.memory_passes" registry counter across this run:
+  /// the full-state sweeps that performed measured_ops. A cache-blocked
+  /// run of gates is one pass (sim/kernels.hpp), so passes < ops once a
+  /// state reaches the blocking threshold and passes == ops below it.
+  std::uint64_t memory_passes = 0;
+
   /// baseline_ops - ops: work the prefix cache eliminated.
   opcount_t ops_saved_vs_baseline = 0;
 

@@ -40,6 +40,7 @@ constexpr std::size_t kPrewarmByteCap = std::size_t{512} << 20;
 // metric as SvBackend/baseline, interned by name) so the runtime total
 // reconciles bitwise with TreeExecStats::ops and the PlanVerifier proof.
 telemetry::Counter g_matvec_ops("sim.matvec_ops");
+telemetry::Counter g_memory_passes("sim.memory_passes");
 telemetry::Counter g_steals("tree_exec.steals");
 telemetry::Counter g_inline_fallbacks("tree_exec.inline_fallbacks");
 telemetry::Counter g_forks("tree_exec.forks");
@@ -165,6 +166,7 @@ class TreeExecutor {
                 "execute_tree: task or buffer accounting leak");
     for (const Worker& w : workers_) {
       stats.ops += w.ops;
+      stats.memory_passes += w.memory_passes;
       stats.fork_copies += w.fork_copies;
       stats.cow_materializations += w.cow_materializations;
       stats.chunk_tasks += w.chunk_tasks;
@@ -177,6 +179,7 @@ class TreeExecutor {
       g_worker_ops.record(w.ops);
     }
     g_matvec_ops.add(stats.ops);
+    g_memory_passes.add(stats.memory_passes);
     g_forks.add(stats.fork_copies);
     g_frame_collapsed_trials.add(stats.frame_collapsed_trials);
     g_frame_ops.add(stats.frame_ops);
@@ -194,6 +197,7 @@ class TreeExecutor {
     std::deque<Task> deque;
     std::unique_ptr<FusionCache> fusion;
     opcount_t ops = 0;
+    std::uint64_t memory_passes = 0;
     std::uint64_t fork_copies = 0;
     std::uint64_t cow_materializations = 0;
     std::uint64_t chunk_tasks = 0;
@@ -525,11 +529,20 @@ class TreeExecutor {
                layer_index_t to) {
     Worker& worker = workers_[w];
     if (worker.fusion != nullptr) {
-      apply_fused(state, worker.fusion->segment(from, to));
+      const FusedProgram& program = worker.fusion->segment(from, to);
+      apply_fused(state, program);
+      worker.memory_passes += program.ops.size();
     } else {
-      apply_layers(ctx_, state, from, to);
+      worker.memory_passes += apply_layers(ctx_, state, from, to);
     }
     worker.ops += ctx_.ops_in_layers(from, to);
+  }
+
+  /// One error event on the trial path: one op, one memory pass.
+  void apply_error(std::size_t w, StateVector& state, const ErrorEvent& event) {
+    apply_error_event(ctx_, state, event);
+    workers_[w].ops += 1;
+    workers_[w].memory_passes += 1;
   }
 
   void exec_node(std::size_t w, std::size_t idx, CowState& handle) {
@@ -561,8 +574,7 @@ class TreeExecutor {
     const TreeNode& node = tree_.nodes[idx];
     layer_index_t frontier = node.entry_frontier;
     if (node.parent != kNoNode) {
-      apply_error_event(ctx_, writable(w, handle), node.entry_event);
-      workers_[w].ops += 1;
+      apply_error(w, writable(w, handle), node.entry_event);
     }
     // Tail trials and frame-collapsed trials both finish on this node's
     // own buffer after the final advance.
@@ -625,8 +637,7 @@ class TreeExecutor {
         advance(w, writable(w, handle), frontier, target);
         frontier = target;
       }
-      apply_error_event(ctx_, writable(w, handle), event);
-      workers_[w].ops += 1;
+      apply_error(w, writable(w, handle), event);
     }
     const auto total = static_cast<layer_index_t>(ctx_.num_layers());
     if (total > frontier) {
@@ -686,8 +697,7 @@ class TreeExecutor {
         advance(w, state, frontier, target);
         frontier = target;
       }
-      apply_error_event(ctx_, state, event);
-      workers_[w].ops += 1;
+      apply_error(w, state, event);
     }
     const auto total = static_cast<layer_index_t>(ctx_.num_layers());
     if (total > frontier) {

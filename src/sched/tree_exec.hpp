@@ -117,6 +117,11 @@ struct TreeExecConfig {
 struct TreeExecStats {
   opcount_t ops = 0;
 
+  /// Full-state sweeps those ops took: a cache-blocked gate run counts
+  /// once, every other gate or error once each (== ops below the blocking
+  /// threshold; the "sim.memory_passes" counter mirrors it).
+  std::uint64_t memory_passes = 0;
+
   /// Schedule forks (CoW refcount bumps or moves), == ExecTree::
   /// planned_forks at every thread count. The 2^n copies actually paid are
   /// cow_materializations — strictly fewer whenever CoW saved anything.

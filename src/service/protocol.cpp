@@ -286,6 +286,7 @@ Json job_result_to_json(const JobResult& result, std::size_t num_measured) {
     Json summary = Json::object();
     summary.set("measured", Json(telem.measured));
     summary.set("measured_ops", Json(telem.measured_ops));
+    summary.set("memory_passes", Json(telem.memory_passes));
     summary.set("ops_saved_vs_baseline", Json(telem.ops_saved_vs_baseline));
     summary.set("prefix_cache_hit_ratio", Json(telem.prefix_cache_hit_ratio));
     summary.set("wall_ms", Json(telem.wall_ms));

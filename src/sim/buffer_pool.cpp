@@ -1,11 +1,69 @@
 #include "sim/buffer_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <new>
+
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
 
 #include "common/error.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace rqsim {
+
+// --------------------------------------------------------------------------
+// Amplitude storage
+
+namespace detail {
+
+namespace {
+std::size_t round_up_to_huge_page(std::size_t bytes) {
+  return (bytes + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+}
+}  // namespace
+
+void* allocate_amplitudes(std::size_t bytes) {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  if (bytes >= kHugePageBytes) {
+    // Over-map by one huge page, then trim both ends so the buffer starts
+    // on a 2 MiB boundary: the kernel can only back aligned 2 MiB ranges
+    // with a huge page. A refused madvise (THP disabled) leaves an ordinary
+    // mapping, which behaves exactly like a large malloc.
+    const std::size_t size = round_up_to_huge_page(bytes);
+    void* raw = mmap(nullptr, size + kHugePageBytes, PROT_READ | PROT_WRITE,
+                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (raw == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    const auto start = reinterpret_cast<std::uintptr_t>(raw);
+    const std::uintptr_t aligned =
+        (start + kHugePageBytes - 1) & ~std::uintptr_t{kHugePageBytes - 1};
+    const std::size_t head = aligned - start;
+    if (head != 0) {
+      munmap(raw, head);
+    }
+    munmap(reinterpret_cast<void*>(aligned + size), kHugePageBytes - head);
+    void* p = reinterpret_cast<void*>(aligned);
+    (void)madvise(p, size, MADV_HUGEPAGE);
+    return p;
+  }
+#endif
+  return ::operator new(bytes);
+}
+
+void deallocate_amplitudes(void* p, std::size_t bytes) noexcept {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  if (bytes >= kHugePageBytes) {
+    munmap(p, round_up_to_huge_page(bytes));
+    return;
+  }
+#endif
+  ::operator delete(p);
+}
+
+}  // namespace detail
 
 namespace {
 // Pool traffic split by path: shard hits are the lock-free fast path,
@@ -37,10 +95,10 @@ StateBufferPool::StateBufferPool(std::size_t max_pooled, std::size_t num_shards)
 StateVector StateBufferPool::acquire_copy(const StateVector& src, std::size_t shard) {
   RQSIM_CHECK(shard < shards_.size(), "StateBufferPool: shard index out of range");
   g_acquires.increment();
-  std::vector<std::vector<cplx>>& local = shards_[shard].free;
+  std::vector<AmpBuffer>& local = shards_[shard].free;
   if (!local.empty()) {
     // Hot path: owner-thread shard list, no synchronization of any kind.
-    std::vector<cplx> buffer = std::move(local.back());
+    AmpBuffer buffer = std::move(local.back());
     local.pop_back();
     reuses_.fetch_add(1, std::memory_order_relaxed);
     g_shard_hits.increment();
@@ -49,16 +107,22 @@ StateVector StateBufferPool::acquire_copy(const StateVector& src, std::size_t sh
     buffer = src.amplitudes();
     return StateVector::from_buffer(src.num_qubits(), std::move(buffer));
   }
+  AmpBuffer buffer;
+  bool reused = false;
   {
+    // Only the pop is serialized; the 2^n copy below runs outside the lock.
     std::lock_guard<std::mutex> lock(global_mutex_);
     if (!global_free_.empty()) {
-      std::vector<cplx> buffer = std::move(global_free_.back());
+      buffer = std::move(global_free_.back());
       global_free_.pop_back();
-      reuses_.fetch_add(1, std::memory_order_relaxed);
-      g_global_hits.increment();
-      buffer = src.amplitudes();
-      return StateVector::from_buffer(src.num_qubits(), std::move(buffer));
+      reused = true;
     }
+  }
+  if (reused) {
+    reuses_.fetch_add(1, std::memory_order_relaxed);
+    g_global_hits.increment();
+    buffer = src.amplitudes();
+    return StateVector::from_buffer(src.num_qubits(), std::move(buffer));
   }
   allocs_.fetch_add(1, std::memory_order_relaxed);
   g_fresh_allocs.increment();
@@ -71,18 +135,20 @@ void StateBufferPool::release(StateVector&& state, std::size_t shard) {
     return;
   }
   g_releases.increment();
-  std::vector<std::vector<cplx>>& local = shards_[shard].free;
-  if (local.size() < per_shard_cap_) {
+  const bool shardable = state.dim() * sizeof(cplx) < kShardBufferBytes;
+  std::vector<AmpBuffer>& local = shards_[shard].free;
+  if (shardable && local.size() < per_shard_cap_) {
     local.push_back(state.take_buffer());
     g_shard_high_water.record(local.size());
     return;
   }
   std::lock_guard<std::mutex> lock(global_mutex_);
   // The per-shard caps already bound the shard lists; the overflow list
-  // absorbs the remainder of the total budget.
-  const std::size_t shard_budget = per_shard_cap_ * shards_.size();
-  if (shard_budget < max_pooled_ &&
-      global_free_.size() < max_pooled_ - shard_budget) {
+  // absorbs the remainder of the total budget (all of it for buffers that
+  // never enter a shard).
+  const std::size_t shard_budget =
+      shardable ? std::min(max_pooled_, per_shard_cap_ * shards_.size()) : 0;
+  if (global_free_.size() < max_pooled_ - shard_budget) {
     global_free_.push_back(state.take_buffer());
     g_global_high_water.record(global_free_.size());
   }
@@ -90,6 +156,16 @@ void StateBufferPool::release(StateVector&& state, std::size_t shard) {
 
 void StateBufferPool::prewarm(unsigned num_qubits, std::size_t per_shard) {
   const std::size_t dim = std::size_t{1} << num_qubits;
+  if (dim * sizeof(cplx) >= kShardBufferBytes) {
+    const std::size_t total = std::min(max_pooled_, per_shard * shards_.size());
+    std::lock_guard<std::mutex> lock(global_mutex_);
+    while (global_free_.size() < total) {
+      global_free_.emplace_back(dim);
+      prewarmed_.fetch_add(1, std::memory_order_relaxed);
+      g_prewarmed.increment();
+    }
+    return;
+  }
   const std::size_t target = std::min(per_shard, per_shard_cap_);
   for (Shard& shard : shards_) {
     while (shard.free.size() < target) {

@@ -21,9 +21,17 @@
 // is touched only by its owning worker — acquire and release on the hot
 // path perform no synchronization at all (not even an atomic on the list) —
 // with a mutex-guarded global overflow list as the cold-path fallback when
-// a shard runs dry or over its cap. The single-shard default (shard 0)
-// preserves the original single-threaded API: callers that never pass a
-// shard index get the exact old behavior.
+// a shard runs dry or over its cap. Buffers of kShardBufferBytes or more
+// (22+ qubits) skip the shards and live on the global list only: a free
+// 256 MiB buffer parked on an idle worker's shard would otherwise force a
+// fresh page-faulting allocation on the next worker that needs one, and at
+// those sizes one mutex per acquire (held for the list pop only, the 2^n
+// copy runs after it) is noise against the copy. The
+// single-shard default (shard 0) preserves the original single-threaded
+// API: callers that never pass a shard index get the exact old behavior.
+//
+// The raw amplitude allocation (detail::allocate_amplitudes: 2 MiB-aligned,
+// huge-page-advised mappings for large states) is defined in buffer_pool.cpp.
 //
 // Thread contract: shard s may only be used by the thread that owns it;
 // clear() and the statistics accessors require external quiescence (no
@@ -57,13 +65,17 @@ class StateBufferPool {
   /// Return a dead StateVector's buffer to the free list.
   void release(StateVector&& state, std::size_t shard = 0);
 
+  /// Buffers of at least this many bytes bypass the per-shard lists.
+  static constexpr std::size_t kShardBufferBytes = std::size_t{64} << 20;
+
   /// Park up to `per_shard` zero-filled 2^num_qubits buffers on every
-  /// shard's free list (bounded by the shard cap), before any worker
-  /// starts. Pre-warmed buffers are page-faulted here, on the setup
-  /// thread, so the workers' first materializations hit the lock-free
-  /// shard path instead of racing into fresh allocations; they count as
-  /// reuses when acquired, never as allocs (see prewarm_count). Requires
-  /// quiescence.
+  /// shard's free list (bounded by the shard cap; buffers of
+  /// kShardBufferBytes or more go to the global list instead, the same
+  /// count in total), before any worker starts. Pre-warmed buffers are
+  /// page-faulted here, on the setup thread, so the workers' first
+  /// materializations hit the pool instead of racing into fresh
+  /// allocations; they count as reuses when acquired, never as allocs
+  /// (see prewarm_count). Requires quiescence.
   void prewarm(unsigned num_qubits, std::size_t per_shard);
 
   /// Drop all pooled buffers (requires quiescence).
@@ -87,7 +99,7 @@ class StateBufferPool {
  private:
   // Padded so two workers' shard headers never share a cache line.
   struct alignas(64) Shard {
-    std::vector<std::vector<cplx>> free;
+    std::vector<AmpBuffer> free;
   };
 
   std::size_t max_pooled_;
@@ -98,7 +110,7 @@ class StateBufferPool {
   std::atomic<std::uint64_t> prewarmed_{0};
 
   mutable std::mutex global_mutex_;
-  std::vector<std::vector<cplx>> global_free_;
+  std::vector<AmpBuffer> global_free_;
 };
 
 /// Copy-on-write checkpoint handle: a move-only reference to a shared,

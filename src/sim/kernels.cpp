@@ -1,5 +1,8 @@
 #include "sim/kernels.hpp"
 
+#include <utility>
+#include <vector>
+
 #include "common/bits.hpp"
 #include "common/error.hpp"
 #include "sim/kernel_engine.hpp"
@@ -101,18 +104,36 @@ inline double mul_add(double a, double b, double c) { return a * b + c; }
 inline double mul_sub(double a, double b, double c) { return a * b - c; }
 #endif
 
-}  // namespace
+// The amplitudes one kernel call sweeps: a whole state, or one block of a
+// blocked gate run. A whole-state sweep may be split across the kernel
+// pool; a block is swept serially by the thread that owns it (the run is
+// already split across the pool block by block).
+struct Span {
+  double* d;  // interleaved (re, im)
+  unsigned num_qubits;
+  bool pooled;
+};
 
-void apply_mat2(StateVector& state, const Mat2& m, qubit_t target) {
-  RQSIM_CHECK(target < state.num_qubits(), "apply_mat2: target out of range");
-  const std::uint64_t half = state.dim() >> 1;
+Span whole(StateVector& state) { return {amp_data(state), state.num_qubits(), true}; }
+
+template <class Body>
+void sweep(const Span& s, std::uint64_t n, Body&& body) {
+  if (s.pooled) {
+    kernel_parallel_for(n, s.num_qubits, body);
+  } else {
+    body(std::uint64_t{0}, n);
+  }
+}
+
+void mat2_kernel(const Span& s, const Mat2& m, qubit_t target) {
+  const std::uint64_t half = (std::uint64_t{1} << s.num_qubits) >> 1;
   const std::uint64_t stride2 = std::uint64_t{2} << target;  // interleaved stride
-  double* d = amp_data(state);
+  double* d = s.d;
   const double m00r = m.at(0, 0).real(), m00i = m.at(0, 0).imag();
   const double m01r = m.at(0, 1).real(), m01i = m.at(0, 1).imag();
   const double m10r = m.at(1, 0).real(), m10i = m.at(1, 0).imag();
   const double m11r = m.at(1, 1).real(), m11i = m.at(1, 1).imag();
-  kernel_parallel_for(half, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
+  sweep(s, half, [=](std::uint64_t k0, std::uint64_t k1) {
     for_target_runs(target, k0, k1,
                     [=](std::uint64_t base, std::uint64_t run, auto step) {
       // Indexed accesses off loop-invariant bases (not per-iteration
@@ -134,6 +155,373 @@ void apply_mat2(StateVector& state, const Mat2& m, qubit_t target) {
       }
     });
   });
+}
+
+void x_kernel(const Span& s, qubit_t target) {
+  const std::uint64_t half = (std::uint64_t{1} << s.num_qubits) >> 1;
+  const std::uint64_t stride2 = std::uint64_t{2} << target;
+  double* d = s.d;
+  sweep(s, half, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_target_runs(target, k0, k1,
+                    [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p0 = d + 2 * base;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* q0 = p0 + j * s;
+        double* q1 = q0 + stride2;
+        const double r = q0[0], i = q0[1];
+        q0[0] = q1[0];
+        q0[1] = q1[1];
+        q1[0] = r;
+        q1[1] = i;
+      }
+    });
+  });
+}
+
+void y_kernel(const Span& s, qubit_t target) {
+  const std::uint64_t half = (std::uint64_t{1} << s.num_qubits) >> 1;
+  const std::uint64_t stride2 = std::uint64_t{2} << target;
+  double* d = s.d;
+  // |0⟩ ↦ i|1⟩, |1⟩ ↦ -i|0⟩: new a0 = -i*a1 = (a1i, -a1r); new a1 = i*a0.
+  sweep(s, half, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_target_runs(target, k0, k1,
+                    [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p0 = d + 2 * base;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* q0 = p0 + j * s;
+        double* q1 = q0 + stride2;
+        const double a0r = q0[0], a0i = q0[1];
+        q0[0] = q1[1];
+        q0[1] = -q1[0];
+        q1[0] = -a0i;
+        q1[1] = a0r;
+      }
+    });
+  });
+}
+
+// Multiply every amplitude of the span by `phase`: what a diagonal gate
+// whose operand qubits all lie above a block does to a block where they
+// are all 1. Same per-amplitude arithmetic as phase_kernel.
+void scale_kernel(const Span& s, cplx phase) {
+  const double pr = phase.real();
+  const double pi = phase.imag();
+  double* d = s.d;
+  sweep(s, std::uint64_t{1} << s.num_qubits, [=](std::uint64_t k0, std::uint64_t k1) {
+    for (std::uint64_t k = k0; k < k1; ++k) {
+      double* q = d + 2 * k;
+      const double ar = q[0], ai = q[1];
+      q[0] = mul_sub(pr, ar, pi * ai);
+      q[1] = mul_add(pr, ai, pi * ar);
+    }
+  });
+}
+
+void phase_kernel(const Span& s, qubit_t target, cplx phase) {
+  const std::uint64_t half = (std::uint64_t{1} << s.num_qubits) >> 1;
+  const std::uint64_t stride2 = std::uint64_t{2} << target;
+  const double pr = phase.real();
+  const double pi = phase.imag();
+  double* d = s.d;
+  sweep(s, half, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_target_runs(target, k0, k1,
+                    [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p1 = d + 2 * base + stride2;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* q1 = p1 + j * s;
+        const double ar = q1[0], ai = q1[1];
+        q1[0] = mul_sub(pr, ar, pi * ai);
+        q1[1] = mul_add(pr, ai, pi * ar);
+      }
+    });
+  });
+}
+
+void cx_kernel(const Span& s, qubit_t control, qubit_t target) {
+  const qubit_t lo = control < target ? control : target;
+  const qubit_t hi = control < target ? target : control;
+  const std::uint64_t quarter = (std::uint64_t{1} << s.num_qubits) >> 2;
+  const std::uint64_t coff = std::uint64_t{2} << control;
+  const std::uint64_t toff = std::uint64_t{2} << target;
+  double* d = s.d;
+  sweep(s, quarter, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_two_target_runs(lo, hi, k0, k1,
+                        [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p0 = d + 2 * base + coff;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* q0 = p0 + j * s;
+        double* q1 = q0 + toff;
+        const double r = q0[0], i = q0[1];
+        q0[0] = q1[0];
+        q0[1] = q1[1];
+        q1[0] = r;
+        q1[1] = i;
+      }
+    });
+  });
+}
+
+void cphase_kernel(const Span& s, qubit_t a, qubit_t b, cplx phase) {
+  const qubit_t lo = a < b ? a : b;
+  const qubit_t hi = a < b ? b : a;
+  const std::uint64_t quarter = (std::uint64_t{1} << s.num_qubits) >> 2;
+  const std::uint64_t both = (std::uint64_t{2} << a) + (std::uint64_t{2} << b);
+  const double pr = phase.real();
+  const double pi = phase.imag();
+  double* d = s.d;
+  sweep(s, quarter, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_two_target_runs(lo, hi, k0, k1,
+                        [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p = d + 2 * base + both;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* q = p + j * s;
+        const double ar = q[0], ai = q[1];
+        q[0] = mul_sub(pr, ar, pi * ai);
+        q[1] = mul_add(pr, ai, pi * ar);
+      }
+    });
+  });
+}
+
+void swap_kernel(const Span& s, qubit_t a, qubit_t b) {
+  const qubit_t lo = a < b ? a : b;
+  const qubit_t hi = a < b ? b : a;
+  const std::uint64_t quarter = (std::uint64_t{1} << s.num_qubits) >> 2;
+  const std::uint64_t aoff = std::uint64_t{2} << a;
+  const std::uint64_t boff = std::uint64_t{2} << b;
+  double* d = s.d;
+  sweep(s, quarter, [=](std::uint64_t k0, std::uint64_t k1) {
+    for_two_target_runs(lo, hi, k0, k1,
+                        [=](std::uint64_t base, std::uint64_t run, auto step) {
+      double* p = d + 2 * base;
+      constexpr std::uint64_t s = 2 * decltype(step)::value;
+      for (std::uint64_t j = 0; j < run; ++j) {
+        double* qa = p + j * s + aoff;
+        double* qb = p + j * s + boff;
+        const double r = qa[0], i = qa[1];
+        qa[0] = qb[0];
+        qa[1] = qb[1];
+        qb[0] = r;
+        qb[1] = i;
+      }
+    });
+  });
+}
+
+void ccx_kernel(const Span& s, qubit_t c1, qubit_t c2, qubit_t target) {
+  // Iterate the dim/8 indices with all three operand bits cleared, then set
+  // both control bits — touches exactly the amplitudes that move.
+  unsigned b0 = c1, b1 = c2, b2 = target;
+  if (b0 > b1) std::swap(b0, b1);
+  if (b1 > b2) std::swap(b1, b2);
+  if (b0 > b1) std::swap(b0, b1);
+  const std::uint64_t eighth = (std::uint64_t{1} << s.num_qubits) >> 3;
+  const std::uint64_t cbits = (std::uint64_t{1} << c1) | (std::uint64_t{1} << c2);
+  const std::uint64_t tbit = std::uint64_t{1} << target;
+  cplx* amps = reinterpret_cast<cplx*>(s.d);
+  sweep(s, eighth, [=](std::uint64_t k0, std::uint64_t k1) {
+    for (std::uint64_t k = k0; k < k1; ++k) {
+      const std::uint64_t i0 = insert_three_zero_bits(k, b0, b1, b2) | cbits;
+      std::swap(amps[i0], amps[i0 | tbit]);
+    }
+  });
+}
+
+// A gate reduced to its kernel family. kX is an X on `target` conditioned
+// on the `num_other` control qubits in `other` (X, CX, CCX); kPhase
+// multiplies the amplitudes whose `num_other` qubits in `other` are all 1
+// by `phase` (Z/S/Sdg/T/Tdg/P, CZ/CP; zero qubits scales the whole span);
+// kSwap exchanges `target` and other[0].
+struct KernelOp {
+  enum class Kind : std::uint8_t { kX, kY, kMat2, kPhase, kSwap };
+  Kind kind = Kind::kX;
+  qubit_t target = 0;
+  qubit_t other[2] = {0, 0};
+  unsigned num_other = 0;
+  cplx phase{};
+  Mat2 m{};
+};
+
+const Mat2& hadamard() {
+  static const Mat2 kHadamard = [] {
+    Mat2 h;
+    const double inv_sqrt2 = 0.7071067811865475244;
+    h.at(0, 0) = inv_sqrt2;
+    h.at(0, 1) = inv_sqrt2;
+    h.at(1, 0) = inv_sqrt2;
+    h.at(1, 1) = -inv_sqrt2;
+    return h;
+  }();
+  return kHadamard;
+}
+
+KernelOp decode(const Gate& gate) {
+  static const cplx kSPhase(0.0, 1.0);
+  static const cplx kSdgPhase(0.0, -1.0);
+  static const cplx kTPhase = std::exp(cplx(0.0, kPi / 4.0));
+  static const cplx kTdgPhase = std::exp(cplx(0.0, -kPi / 4.0));
+  using K = KernelOp::Kind;
+  const auto& q = gate.qubits;
+  const auto phase1 = [&](cplx phase) {
+    return KernelOp{.kind = K::kPhase, .other = {q[0], 0}, .num_other = 1, .phase = phase};
+  };
+  switch (gate.kind) {
+    case GateKind::X:
+      return {.kind = K::kX, .target = q[0]};
+    case GateKind::Y:
+      return {.kind = K::kY, .target = q[0]};
+    case GateKind::Z:
+      return phase1(cplx(-1.0, 0.0));
+    case GateKind::H:
+      return {.kind = K::kMat2, .target = q[0], .m = hadamard()};
+    case GateKind::S:
+      return phase1(kSPhase);
+    case GateKind::Sdg:
+      return phase1(kSdgPhase);
+    case GateKind::T:
+      return phase1(kTPhase);
+    case GateKind::Tdg:
+      return phase1(kTdgPhase);
+    case GateKind::P:
+      return phase1(std::exp(cplx(0.0, gate.params[0])));
+    case GateKind::RX:
+    case GateKind::RY:
+    case GateKind::RZ:
+    case GateKind::U2:
+    case GateKind::U3:
+      return {.kind = K::kMat2, .target = q[0], .m = gate_matrix1(gate)};
+    case GateKind::CX:
+      return {.kind = K::kX, .target = q[1], .other = {q[0], 0}, .num_other = 1};
+    case GateKind::CZ:
+      return {.kind = K::kPhase, .other = {q[0], q[1]}, .num_other = 2,
+              .phase = cplx(-1.0, 0.0)};
+    case GateKind::CP:
+      return {.kind = K::kPhase, .other = {q[0], q[1]}, .num_other = 2,
+              .phase = std::exp(cplx(0.0, gate.params[0]))};
+    case GateKind::SWAP:
+      return {.kind = K::kSwap, .target = q[0], .other = {q[1], 0}, .num_other = 1};
+    case GateKind::CCX:
+      return {.kind = K::kX, .target = q[2], .other = {q[0], q[1]}, .num_other = 2};
+  }
+  RQSIM_CHECK(false, "apply_gate: unhandled gate kind");
+  return {};
+}
+
+void apply_op(const Span& s, const KernelOp& op) {
+  switch (op.kind) {
+    case KernelOp::Kind::kX:
+      if (op.num_other == 0) {
+        x_kernel(s, op.target);
+      } else if (op.num_other == 1) {
+        cx_kernel(s, op.other[0], op.target);
+      } else {
+        ccx_kernel(s, op.other[0], op.other[1], op.target);
+      }
+      return;
+    case KernelOp::Kind::kY:
+      y_kernel(s, op.target);
+      return;
+    case KernelOp::Kind::kMat2:
+      mat2_kernel(s, op.m, op.target);
+      return;
+    case KernelOp::Kind::kPhase:
+      if (op.num_other == 0) {
+        scale_kernel(s, op.phase);
+      } else if (op.num_other == 1) {
+        phase_kernel(s, op.other[0], op.phase);
+      } else {
+        cphase_kernel(s, op.other[0], op.other[1], op.phase);
+      }
+      return;
+    case KernelOp::Kind::kSwap:
+      swap_kernel(s, op.target, op.other[0]);
+      return;
+  }
+}
+
+// One gate of a blocked run: `op` restricted to a block, applied to the
+// blocks whose index has every bit of `mask` set.
+struct BlockOp {
+  std::uint64_t mask = 0;
+  KernelOp op;
+};
+
+// Restrict `op` to blocks of `block_qubits` qubits. A qubit at or above the
+// block size is constant within a block, so a control or phase qubit up
+// there selects whole blocks (it moves into `mask`, as bit q - block_qubits
+// of the block index) and drops out of the kernel. Returns false when the
+// gate moves amplitudes across blocks: an X/Y/mat2 target or a SWAP qubit
+// at or above the block size.
+bool restrict_to_block(const KernelOp& op, unsigned block_qubits, BlockOp& out) {
+  out.op = op;
+  out.mask = 0;
+  switch (op.kind) {
+    case KernelOp::Kind::kY:
+    case KernelOp::Kind::kMat2:
+      return op.target < block_qubits;
+    case KernelOp::Kind::kSwap:
+      return op.target < block_qubits && op.other[0] < block_qubits;
+    case KernelOp::Kind::kX:
+      if (op.target >= block_qubits) {
+        return false;
+      }
+      break;
+    case KernelOp::Kind::kPhase:
+      break;
+  }
+  out.op.num_other = 0;
+  for (unsigned k = 0; k < op.num_other; ++k) {
+    if (op.other[k] >= block_qubits) {
+      out.mask |= std::uint64_t{1} << (op.other[k] - block_qubits);
+    } else {
+      out.op.other[out.op.num_other++] = op.other[k];
+    }
+  }
+  return true;
+}
+
+// Apply a run of block-local gates block by block: every gate of the run
+// to block 0, then every gate to block 1, and so on. Each amplitude sees
+// the same kernels with the same arithmetic in the same gate order as the
+// gate-by-gate sweep, only with the block kept in cache between gates.
+void apply_blocked_run(StateVector& state, const std::vector<BlockOp>& run,
+                       unsigned block_qubits) {
+  double* d = amp_data(state);
+  const std::uint64_t num_blocks = state.dim() >> block_qubits;
+  kernel_parallel_for(num_blocks, state.num_qubits(),
+                      [&](std::uint64_t b0, std::uint64_t b1) {
+    for (std::uint64_t b = b0; b < b1; ++b) {
+      const Span block{d + (2 * b << block_qubits), block_qubits, false};
+      for (const BlockOp& op : run) {
+        if ((b & op.mask) == op.mask) {
+          apply_op(block, op.op);
+        }
+      }
+    }
+  });
+}
+
+void check_operands(const StateVector& state, const Gate& gate) {
+  const unsigned n = state.num_qubits();
+  const int arity = gate.arity();
+  for (int k = 0; k < arity; ++k) {
+    RQSIM_CHECK(gate.qubits[k] < n, "apply_gate: qubit out of range");
+    for (int j = 0; j < k; ++j) {
+      RQSIM_CHECK(gate.qubits[j] != gate.qubits[k], "apply_gate: repeated operand");
+    }
+  }
+}
+
+}  // namespace
+
+void apply_mat2(StateVector& state, const Mat2& m, qubit_t target) {
+  RQSIM_CHECK(target < state.num_qubits(), "apply_mat2: target out of range");
+  mat2_kernel(whole(state), m, target);
 }
 
 void apply_mat4(StateVector& state, const Mat4& m, qubit_t q1, qubit_t q0) {
@@ -206,49 +594,12 @@ void apply_mat4(StateVector& state, const Mat4& m, qubit_t q1, qubit_t q0) {
 
 void apply_x(StateVector& state, qubit_t target) {
   RQSIM_CHECK(target < state.num_qubits(), "apply_x: target out of range");
-  const std::uint64_t half = state.dim() >> 1;
-  const std::uint64_t stride2 = std::uint64_t{2} << target;
-  double* d = amp_data(state);
-  kernel_parallel_for(half, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_target_runs(target, k0, k1,
-                    [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p0 = d + 2 * base;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* q0 = p0 + j * s;
-        double* q1 = q0 + stride2;
-        const double r = q0[0], i = q0[1];
-        q0[0] = q1[0];
-        q0[1] = q1[1];
-        q1[0] = r;
-        q1[1] = i;
-      }
-    });
-  });
+  x_kernel(whole(state), target);
 }
 
 void apply_y(StateVector& state, qubit_t target) {
   RQSIM_CHECK(target < state.num_qubits(), "apply_y: target out of range");
-  const std::uint64_t half = state.dim() >> 1;
-  const std::uint64_t stride2 = std::uint64_t{2} << target;
-  double* d = amp_data(state);
-  // |0⟩ ↦ i|1⟩, |1⟩ ↦ -i|0⟩: new a0 = -i*a1 = (a1i, -a1r); new a1 = i*a0.
-  kernel_parallel_for(half, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_target_runs(target, k0, k1,
-                    [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p0 = d + 2 * base;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* q0 = p0 + j * s;
-        double* q1 = q0 + stride2;
-        const double a0r = q0[0], a0i = q0[1];
-        q0[0] = q1[1];
-        q0[1] = -q1[0];
-        q1[0] = -a0i;
-        q1[1] = a0r;
-      }
-    });
-  });
+  y_kernel(whole(state), target);
 }
 
 void apply_z(StateVector& state, qubit_t target) {
@@ -256,66 +607,19 @@ void apply_z(StateVector& state, qubit_t target) {
 }
 
 void apply_h(StateVector& state, qubit_t target) {
-  static const Mat2 kHadamard = [] {
-    Mat2 h;
-    const double inv_sqrt2 = 0.7071067811865475244;
-    h.at(0, 0) = inv_sqrt2;
-    h.at(0, 1) = inv_sqrt2;
-    h.at(1, 0) = inv_sqrt2;
-    h.at(1, 1) = -inv_sqrt2;
-    return h;
-  }();
-  apply_mat2(state, kHadamard, target);
+  apply_mat2(state, hadamard(), target);
 }
 
 void apply_phase(StateVector& state, qubit_t target, cplx phase) {
   RQSIM_CHECK(target < state.num_qubits(), "apply_phase: target out of range");
-  const std::uint64_t half = state.dim() >> 1;
-  const std::uint64_t stride2 = std::uint64_t{2} << target;
-  const double pr = phase.real();
-  const double pi = phase.imag();
-  double* d = amp_data(state);
-  kernel_parallel_for(half, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_target_runs(target, k0, k1,
-                    [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p1 = d + 2 * base + stride2;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* q1 = p1 + j * s;
-        const double ar = q1[0], ai = q1[1];
-        q1[0] = mul_sub(pr, ar, pi * ai);
-        q1[1] = mul_add(pr, ai, pi * ar);
-      }
-    });
-  });
+  phase_kernel(whole(state), target, phase);
 }
 
 void apply_cx(StateVector& state, qubit_t control, qubit_t target) {
   RQSIM_CHECK(control < state.num_qubits() && target < state.num_qubits() &&
                   control != target,
               "apply_cx: bad operands");
-  const qubit_t lo = control < target ? control : target;
-  const qubit_t hi = control < target ? target : control;
-  const std::uint64_t quarter = state.dim() >> 2;
-  const std::uint64_t coff = std::uint64_t{2} << control;
-  const std::uint64_t toff = std::uint64_t{2} << target;
-  double* d = amp_data(state);
-  kernel_parallel_for(quarter, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_two_target_runs(lo, hi, k0, k1,
-                        [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p0 = d + 2 * base + coff;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* q0 = p0 + j * s;
-        double* q1 = q0 + toff;
-        const double r = q0[0], i = q0[1];
-        q0[0] = q1[0];
-        q0[1] = q1[1];
-        q1[0] = r;
-        q1[1] = i;
-      }
-    });
-  });
+  cx_kernel(whole(state), control, target);
 }
 
 void apply_cz(StateVector& state, qubit_t a, qubit_t b) {
@@ -325,53 +629,13 @@ void apply_cz(StateVector& state, qubit_t a, qubit_t b) {
 void apply_cphase(StateVector& state, qubit_t a, qubit_t b, cplx phase) {
   RQSIM_CHECK(a < state.num_qubits() && b < state.num_qubits() && a != b,
               "apply_cphase: bad operands");
-  const qubit_t lo = a < b ? a : b;
-  const qubit_t hi = a < b ? b : a;
-  const std::uint64_t quarter = state.dim() >> 2;
-  const std::uint64_t both = (std::uint64_t{2} << a) + (std::uint64_t{2} << b);
-  const double pr = phase.real();
-  const double pi = phase.imag();
-  double* d = amp_data(state);
-  kernel_parallel_for(quarter, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_two_target_runs(lo, hi, k0, k1,
-                        [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p = d + 2 * base + both;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* q = p + j * s;
-        const double ar = q[0], ai = q[1];
-        q[0] = mul_sub(pr, ar, pi * ai);
-        q[1] = mul_add(pr, ai, pi * ar);
-      }
-    });
-  });
+  cphase_kernel(whole(state), a, b, phase);
 }
 
 void apply_swap(StateVector& state, qubit_t a, qubit_t b) {
   RQSIM_CHECK(a < state.num_qubits() && b < state.num_qubits() && a != b,
               "apply_swap: bad operands");
-  const qubit_t lo = a < b ? a : b;
-  const qubit_t hi = a < b ? b : a;
-  const std::uint64_t quarter = state.dim() >> 2;
-  const std::uint64_t aoff = std::uint64_t{2} << a;
-  const std::uint64_t boff = std::uint64_t{2} << b;
-  double* d = amp_data(state);
-  kernel_parallel_for(quarter, state.num_qubits(), [=](std::uint64_t k0, std::uint64_t k1) {
-    for_two_target_runs(lo, hi, k0, k1,
-                        [=](std::uint64_t base, std::uint64_t run, auto step) {
-      double* p = d + 2 * base;
-      constexpr std::uint64_t s = 2 * decltype(step)::value;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        double* qa = p + j * s + aoff;
-        double* qb = p + j * s + boff;
-        const double r = qa[0], i = qa[1];
-        qa[0] = qb[0];
-        qa[1] = qb[1];
-        qb[0] = r;
-        qb[1] = i;
-      }
-    });
-  });
+  swap_kernel(whole(state), a, b);
 }
 
 void apply_ccx(StateVector& state, qubit_t c1, qubit_t c2, qubit_t target) {
@@ -379,83 +643,58 @@ void apply_ccx(StateVector& state, qubit_t c1, qubit_t c2, qubit_t target) {
                   target < state.num_qubits() && c1 != c2 && c1 != target &&
                   c2 != target,
               "apply_ccx: bad operands");
-  // Iterate the dim/8 indices with all three operand bits cleared, then set
-  // both control bits — touches exactly the amplitudes that move.
-  unsigned b0 = c1, b1 = c2, b2 = target;
-  if (b0 > b1) std::swap(b0, b1);
-  if (b1 > b2) std::swap(b1, b2);
-  if (b0 > b1) std::swap(b0, b1);
-  const std::uint64_t eighth = state.dim() >> 3;
-  const std::uint64_t cbits = (std::uint64_t{1} << c1) | (std::uint64_t{1} << c2);
-  const std::uint64_t tbit = std::uint64_t{1} << target;
-  auto& amps = state.amplitudes();
-  kernel_parallel_for(eighth, state.num_qubits(), [&](std::uint64_t k0, std::uint64_t k1) {
-    for (std::uint64_t k = k0; k < k1; ++k) {
-      const std::uint64_t i0 = insert_three_zero_bits(k, b0, b1, b2) | cbits;
-      std::swap(amps[i0], amps[i0 | tbit]);
-    }
-  });
+  ccx_kernel(whole(state), c1, c2, target);
 }
 
 void apply_gate(StateVector& state, const Gate& gate) {
-  static const cplx kSPhase(0.0, 1.0);
-  static const cplx kSdgPhase(0.0, -1.0);
-  static const cplx kTPhase = std::exp(cplx(0.0, kPi / 4.0));
-  static const cplx kTdgPhase = std::exp(cplx(0.0, -kPi / 4.0));
+  check_operands(state, gate);
   count_gate_dispatch(gate.kind);
-  switch (gate.kind) {
-    case GateKind::X:
-      apply_x(state, gate.qubits[0]);
-      return;
-    case GateKind::Y:
-      apply_y(state, gate.qubits[0]);
-      return;
-    case GateKind::Z:
-      apply_z(state, gate.qubits[0]);
-      return;
-    case GateKind::H:
-      apply_h(state, gate.qubits[0]);
-      return;
-    case GateKind::S:
-      apply_phase(state, gate.qubits[0], kSPhase);
-      return;
-    case GateKind::Sdg:
-      apply_phase(state, gate.qubits[0], kSdgPhase);
-      return;
-    case GateKind::T:
-      apply_phase(state, gate.qubits[0], kTPhase);
-      return;
-    case GateKind::Tdg:
-      apply_phase(state, gate.qubits[0], kTdgPhase);
-      return;
-    case GateKind::P:
-      apply_phase(state, gate.qubits[0], std::exp(cplx(0.0, gate.params[0])));
-      return;
-    case GateKind::RX:
-    case GateKind::RY:
-    case GateKind::RZ:
-    case GateKind::U2:
-    case GateKind::U3:
-      apply_mat2(state, gate_matrix1(gate), gate.qubits[0]);
-      return;
-    case GateKind::CX:
-      apply_cx(state, gate.qubits[0], gate.qubits[1]);
-      return;
-    case GateKind::CZ:
-      apply_cz(state, gate.qubits[0], gate.qubits[1]);
-      return;
-    case GateKind::CP:
-      apply_cphase(state, gate.qubits[0], gate.qubits[1],
-                   std::exp(cplx(0.0, gate.params[0])));
-      return;
-    case GateKind::SWAP:
-      apply_swap(state, gate.qubits[0], gate.qubits[1]);
-      return;
-    case GateKind::CCX:
-      apply_ccx(state, gate.qubits[0], gate.qubits[1], gate.qubits[2]);
-      return;
+  apply_op(whole(state), decode(gate));
+}
+
+std::uint64_t apply_gates(StateVector& state, std::span<const Gate* const> gates,
+                          unsigned block_qubits) {
+  if (state.num_qubits() < block_qubits + 2) {
+    for (const Gate* gate : gates) {
+      apply_gate(state, *gate);
+    }
+    return gates.size();
   }
-  RQSIM_CHECK(false, "apply_gate: unhandled gate kind");
+  std::uint64_t passes = 0;
+  std::vector<BlockOp> run;
+  BlockOp next;
+  std::size_t i = 0;
+  while (i < gates.size()) {
+    const Gate& gate = *gates[i];
+    check_operands(state, gate);
+    count_gate_dispatch(gate.kind);
+    const KernelOp op = decode(gate);
+    ++i;
+    ++passes;
+    if (!restrict_to_block(op, block_qubits, next)) {
+      apply_op(whole(state), op);
+      continue;
+    }
+    // Extend to the maximal run of block-local gates; a lone one is a
+    // plain full sweep.
+    run.assign(1, next);
+    while (i < gates.size()) {
+      const Gate& more = *gates[i];
+      check_operands(state, more);
+      if (!restrict_to_block(decode(more), block_qubits, next)) {
+        break;
+      }
+      count_gate_dispatch(more.kind);
+      run.push_back(next);
+      ++i;
+    }
+    if (run.size() == 1) {
+      apply_op(whole(state), op);
+    } else {
+      apply_blocked_run(state, run, block_qubits);
+    }
+  }
+  return passes;
 }
 
 void apply_fused(StateVector& state, const FusedProgram& program) {

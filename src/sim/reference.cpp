@@ -46,11 +46,11 @@ StateVector reference_simulate(const Circuit& circuit) {
   RQSIM_CHECK(circuit.num_qubits() <= 10,
               "reference_simulate: limited to 10 qubits");
   StateVector state(circuit.num_qubits());
-  std::vector<cplx> v = state.amplitudes();
+  std::vector<cplx> v(state.amplitudes().begin(), state.amplitudes().end());
   for (const Gate& g : circuit.gates()) {
     v = gate_to_dense(g, circuit.num_qubits()).apply(v);
   }
-  state.amplitudes() = v;
+  state.amplitudes().assign(v.begin(), v.end());
   return state;
 }
 

@@ -20,7 +20,7 @@ StateVector::StateVector(unsigned num_qubits, std::uint64_t basis_index)
   amps_[basis_index] = 1.0;
 }
 
-StateVector StateVector::from_buffer(unsigned num_qubits, std::vector<cplx> buffer) {
+StateVector StateVector::from_buffer(unsigned num_qubits, AmpBuffer buffer) {
   RQSIM_CHECK(buffer.size() == pow2(num_qubits),
               "StateVector::from_buffer: buffer size must be 2^num_qubits");
   StateVector state;
@@ -29,7 +29,7 @@ StateVector StateVector::from_buffer(unsigned num_qubits, std::vector<cplx> buff
   return state;
 }
 
-std::vector<cplx> StateVector::take_buffer() {
+AmpBuffer StateVector::take_buffer() {
   num_qubits_ = 0;
   return std::move(amps_);
 }

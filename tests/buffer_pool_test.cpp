@@ -87,6 +87,30 @@ TEST(StateBufferPool, FreeListIsBoundedByMaxPooled) {
   }
 }
 
+TEST(StateBufferPool, LargeBufferReleasedOnOneShardServesAnother) {
+  // 22 qubits = 64 MiB, the size from which buffers skip the shard lists:
+  // a buffer freed by one worker must reach the next worker that needs one
+  // instead of sitting on the first worker's shard.
+  StateBufferPool pool(/*max_pooled=*/64, /*num_shards=*/4);
+  const StateVector src(22);
+  ASSERT_GE(src.dim() * sizeof(cplx), StateBufferPool::kShardBufferBytes);
+  pool.release(pool.acquire_copy(src, 0), 0);
+  StateVector again = pool.acquire_copy(src, 1);
+  EXPECT_EQ(pool.alloc_count(), 1u);
+  EXPECT_EQ(pool.reuse_count(), 1u);
+  EXPECT_TRUE(again.bitwise_equal(src));
+}
+
+TEST(StateBufferPool, SmallBuffersStayOnTheReleasingShard) {
+  StateBufferPool pool(/*max_pooled=*/64, /*num_shards=*/4);
+  const StateVector src = random_state(4, 7);
+  pool.release(pool.acquire_copy(src, 0), 0);
+  StateVector other = pool.acquire_copy(src, 1);  // shard 1 is empty
+  EXPECT_EQ(pool.alloc_count(), 2u);
+  StateVector own = pool.acquire_copy(src, 0);  // lock-free shard hit
+  EXPECT_EQ(pool.reuse_count(), 1u);
+}
+
 TEST(StateBufferPool, ClearDropsPooledBuffers) {
   StateBufferPool pool;
   const StateVector src = random_state(3, 6);

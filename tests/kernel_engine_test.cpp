@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "bench_circuits/grover.hpp"
+#include "blocked_fuzz.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/fusion.hpp"
 #include "common/bits.hpp"
@@ -10,6 +12,7 @@
 #include "sim/kernels.hpp"
 #include "sim/reference.hpp"
 #include "sim/statevector.hpp"
+#include "transpile/decompose.hpp"
 
 namespace rqsim {
 namespace {
@@ -173,6 +176,67 @@ TEST(KernelFuzz, BlockedFusedAndThreadedMatchReference) {
     set_kernel_config(KernelConfig{});
     EXPECT_TRUE(threaded.bitwise_equal(serial)) << "seed " << seed;
   }
+}
+
+// ------------------------------------------------------ cache-blocked runs
+
+TEST(BlockedRunFuzz, ForcedSmallBlocksMatchGateByGateBitwise) {
+  const fuzz::BlockedFuzzReport report = fuzz::run_blocked_fuzz(7000, 300);
+  EXPECT_EQ(report.mismatches, 0u);
+  // The cases the blocking rule tells apart all occurred: phase qubits and
+  // controls above the block (block-local), and RZ/U3/H targets above the
+  // block (which end a run).
+  EXPECT_GT(report.diagonal_above_block, 0u);
+  EXPECT_GT(report.control_above_block, 0u);
+  EXPECT_GT(report.target_above_block, 0u);
+  // Runs did form: fewer passes than gates.
+  EXPECT_LT(report.passes, report.gates);
+}
+
+TEST(BlockedRunFuzz, PooledBlocksMatchSerialBitwise) {
+  // The blocks of a run split across the kernel pool like any sweep.
+  ConfigGuard guard;
+  KernelConfig config;
+  config.num_threads = 3;
+  config.parallel_threshold_qubits = 1;
+  set_kernel_config(config);
+  const fuzz::BlockedFuzzReport report = fuzz::run_blocked_fuzz(9000, 100);
+  EXPECT_EQ(report.mismatches, 0u);
+}
+
+TEST(BlockedRun, PassCountsFollowTheBlockRule) {
+  StateVector state(8);
+  const Gate h0 = Gate::make1(GateKind::H, 0);
+  const Gate cx_high_control = Gate::make2(GateKind::CX, 7, 1);
+  const Gate cp_high = Gate::make2(GateKind::CP, 6, 7, 0.3);
+  const Gate rz_high = Gate::make1(GateKind::RZ, 5, 0.7);
+  const Gate x1 = Gate::make1(GateKind::X, 1);
+  const std::vector<const Gate*> gates = {&h0, &cx_high_control, &cp_high, &rz_high,
+                                          &x1};
+  // Block of 3 qubits: [H, CX, CP] is one run, RZ on qubit 5 ends it, X
+  // alone is a plain sweep.
+  EXPECT_EQ(apply_gates(state, gates, 3), 3u);
+  // Below block + 2 qubits every gate is its own pass.
+  StateVector small(4);
+  const std::vector<const Gate*> low = {&h0, &x1};
+  EXPECT_EQ(apply_gates(small, low, 3), 2u);
+}
+
+TEST(BlockedRun, DefaultBlockSizeOnGroverMatchesGateByGate) {
+  // 18 qubits is the smallest state the default block size applies to.
+  const Circuit grover = decompose_to_cx_basis(make_grover(18, 37));
+  std::vector<const Gate*> gates;
+  for (const Gate& g : grover.gates()) {
+    gates.push_back(&g);
+  }
+  StateVector serial(18);
+  for (const Gate& g : grover.gates()) {
+    apply_gate(serial, g);
+  }
+  StateVector blocked(18);
+  const std::uint64_t passes = apply_gates(blocked, gates);
+  EXPECT_TRUE(blocked.bitwise_equal(serial));
+  EXPECT_LT(passes, gates.size() / 2);
 }
 
 TEST(KernelEngine, ThreadedMat2IsBitwiseEqualOnLargeRegister) {

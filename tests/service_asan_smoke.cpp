@@ -7,9 +7,13 @@
 // trips, server start/stop — runs under ASan+UBSan as part of the tier-1
 // ctest flow. The service sources are recompiled into this target with
 // sanitizer instrumentation; the rest of the library links in unsanitized.
+// The gate kernels, the layer walker and the amplitude allocator are
+// recompiled too, and a forced-small-block fuzz drives the cache-blocked
+// gate path through them.
 #include <cstdio>
 #include <thread>
 
+#include "blocked_fuzz.hpp"
 #include "bench_circuits/qft.hpp"
 #include "noise/noise_model.hpp"
 #include "service/protocol.hpp"
@@ -104,7 +108,14 @@ void smoke_protocol_and_server() {
 
 }  // namespace
 
+void smoke_blocked_kernels() {
+  const rqsim::fuzz::BlockedFuzzReport report = rqsim::fuzz::run_blocked_fuzz(500, 60);
+  SMOKE_CHECK(report.mismatches == 0);
+  SMOKE_CHECK(report.passes < report.gates);
+}
+
 int main() {
+  smoke_blocked_kernels();
   smoke_batching_and_cancel();
   smoke_worker_threads();
   smoke_protocol_and_server();

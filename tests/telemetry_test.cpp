@@ -11,10 +11,12 @@
 #include <thread>
 #include <vector>
 
+#include "bench_circuits/grover.hpp"
 #include "bench_circuits/suite.hpp"
 #include "cli/cli.hpp"
 #include "common/rng.hpp"
 #include "noise/devices.hpp"
+#include "report/prom.hpp"
 #include "sched/order.hpp"
 #include "sched/parallel.hpp"
 #include "sched/runner.hpp"
@@ -22,6 +24,7 @@
 #include "service/service.hpp"
 #include "telemetry/telemetry.hpp"
 #include "telemetry/trace.hpp"
+#include "transpile/decompose.hpp"
 #include "trial/generator.hpp"
 #include "verify/plan_verifier.hpp"
 
@@ -326,6 +329,8 @@ TEST(TelemetryReconciliation, CounterMatchesProofAndResultOnTableOneSuite) {
     EXPECT_TRUE(result.telemetry.measured) << entry.name;
     EXPECT_EQ(result.ops, proof.cached_ops) << entry.name;
     EXPECT_EQ(result.telemetry.measured_ops, result.ops) << entry.name;
+    // 5-qubit states are far below the blocking threshold: one sweep per op.
+    EXPECT_EQ(result.telemetry.memory_passes, result.ops) << entry.name;
     EXPECT_EQ(result.telemetry.ops_saved_vs_baseline,
               result.baseline_ops - result.ops)
         << entry.name;
@@ -363,6 +368,8 @@ TEST(TelemetryReconciliation, ParallelTreeCounterMatchesAtOneTwoEightThreads) {
           << entry.name << " threads=" << threads;
       EXPECT_EQ(result.telemetry.measured_ops, result.ops)
           << entry.name << " threads=" << threads;
+      EXPECT_EQ(result.telemetry.memory_passes, result.ops)
+          << entry.name << " threads=" << threads;
     }
   }
 }
@@ -380,9 +387,41 @@ TEST(TelemetryReconciliation, BaselineModeCounterMatchesBaselineOps) {
   config.mode = ExecutionMode::kBaseline;
   const NoisyRunResult result = run_noisy(entry.compiled, dev.noise, config);
   EXPECT_EQ(result.telemetry.measured_ops, result.ops);
+  EXPECT_EQ(result.telemetry.memory_passes, result.ops);
   EXPECT_EQ(result.ops, result.baseline_ops);
   EXPECT_EQ(result.telemetry.ops_saved_vs_baseline, 0u);
   EXPECT_EQ(result.telemetry.prefix_cache_hit_ratio, 0.0);
+}
+
+TEST(TelemetryReconciliation, BlockedGroverMakesFewerPassesThanOpsAndKeepsHistograms) {
+  // 18 qubits: the smallest register the default cache block applies to.
+  // The tree at 1 and 4 threads and the sequential scheduler all run the
+  // blocked path and must still agree bitwise.
+  const Circuit circuit = decompose_to_cx_basis(make_grover(18, 45));
+  const NoiseModel noise = NoiseModel::uniform(18, 4e-4, 4e-3, 4e-3);
+  NoisyRunConfig config;
+  config.num_trials = 6;
+  config.seed = 21;
+  telem::set_enabled(true);
+  const NoisyRunResult sequential = run_noisy(circuit, noise, config);
+  ASSERT_FALSE(sequential.histogram.empty());
+  if (telem::compiled()) {
+    EXPECT_EQ(sequential.telemetry.measured_ops, sequential.ops);
+    EXPECT_LT(sequential.telemetry.memory_passes, sequential.ops);
+    EXPECT_GT(sequential.telemetry.memory_passes, 0u);
+  }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ParallelRunConfig parallel;
+    parallel.num_trials = config.num_trials;
+    parallel.seed = config.seed;
+    parallel.num_threads = threads;
+    parallel.parallel_mode = ParallelMode::kTree;
+    const NoisyRunResult tree = run_noisy_parallel(circuit, noise, parallel);
+    EXPECT_EQ(tree.histogram, sequential.histogram) << "threads=" << threads;
+    if (telem::compiled()) {
+      EXPECT_LT(tree.telemetry.memory_passes, tree.ops) << "threads=" << threads;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -410,6 +449,10 @@ TEST(TelemetrySurfacing, ProtocolStatsCarriesMetricsSnapshot) {
     // positive, and histograms serialize structurally.
     ASSERT_TRUE(metrics.has("sim.matvec_ops"));
     EXPECT_GT(metrics.at("sim.matvec_ops").as_u64(), 0u);
+    ASSERT_TRUE(metrics.has("sim.memory_passes"));
+    EXPECT_GT(metrics.at("sim.memory_passes").as_u64(), 0u);
+    EXPECT_NE(stats_to_prometheus(response).find("rqsim_sim_memory_passes "),
+              std::string::npos);
     ASSERT_TRUE(metrics.has("service.job_exec_us"));
     EXPECT_TRUE(metrics.at("service.job_exec_us").has("count"));
     EXPECT_TRUE(metrics.at("service.job_exec_us").has("buckets"));
@@ -427,8 +470,10 @@ TEST(TelemetrySurfacing, ProtocolStatsCarriesMetricsSnapshot) {
   EXPECT_TRUE(summary.has("measured_ops"));
   EXPECT_TRUE(summary.has("prefix_cache_hit_ratio"));
   EXPECT_TRUE(summary.has("pool_reuses"));
+  EXPECT_TRUE(summary.has("memory_passes"));
   if (telem::compiled()) {
     EXPECT_EQ(summary.at("measured_ops").as_u64(), result.at("ops").as_u64());
+    EXPECT_EQ(summary.at("memory_passes").as_u64(), result.at("ops").as_u64());
   }
 }
 
